@@ -67,15 +67,25 @@ void run_iteration(parmsg::Comm& c, std::span<const CommPattern* const> phases,
     }
     case Method::Alltoallv: {
       const auto p = static_cast<std::size_t>(c.size());
+      // The displacements are all zero (no buffers) and only ever read,
+      // so every rank on this host thread shares one array; it only
+      // grows, and all ranks of a session have the same size, so no
+      // rank holds a span into a reallocated buffer.
+      static thread_local std::vector<std::size_t> zeros;
+      if (zeros.size() < p) zeros.resize(p, 0);
+      const std::span<const std::size_t> displs(zeros.data(), p);
+      // The counts stay per rank: SimComm::isend sleeps for the send
+      // overhead and yields while posting, so a shared count array
+      // would be overwritten by the next rank before this one has
+      // posted all its sends (sharing it changes the measured bytes).
       std::vector<std::size_t> scounts(p, 0);
-      std::vector<std::size_t> zeros(p, 0);
       for (const CommPattern* pat : phases) {
         scounts[static_cast<std::size_t>(pat->left[static_cast<std::size_t>(me)])] += n;
         scounts[static_cast<std::size_t>(pat->right[static_cast<std::size_t>(me)])] += n;
       }
       // Ring symmetry: the bytes I receive from a peer equal the bytes
       // I send to it.
-      c.alltoallv(nullptr, scounts, zeros, nullptr, scounts, zeros);
+      c.alltoallv(nullptr, scounts, displs, nullptr, scounts, displs);
       break;
     }
   }
@@ -247,17 +257,16 @@ struct CellOutput {
 
 using CellBody = std::function<void(parmsg::Comm&, CellOutput*)>;
 
-/// The full b_eff measurement space as a flat table of independent
-/// cells.  Construction builds every cell body and pre-sizes one
-/// result slot per cell; run_cell() executes one cell as its own
-/// transport session (any host thread, any order); finish() reduces
-/// the slots in index order.  Because each cell owns its engine and
-/// the reduction order is fixed, the result is byte-identical no
-/// matter how cells were scheduled.
-class CellSweep {
+}  // namespace
+
+/// The state behind BeffPlan; cell bodies capture `this`.
+class BeffPlan::Impl {
  public:
-  CellSweep(int nprocs, const BeffOptions& opt)
+  Impl(int nprocs, const BeffOptions& opt)
       : nprocs_(nprocs), options_(opt) {
+    if (nprocs < 2) {
+      throw std::invalid_argument("run_beff: need at least 2 processes");
+    }
     result_.nprocs = nprocs;
     result_.lmax = opt.lmax_override > 0 ? opt.lmax_override
                                          : lmax_for_memory(opt.memory_per_proc);
@@ -325,16 +334,16 @@ class CellSweep {
     if (options_.fault_plan != nullptr) statuses_.resize(cells_.size());
   }
 
-  CellSweep(const CellSweep&) = delete;  // cell bodies capture `this`
+  Impl(const Impl&) = delete;  // cell bodies capture `this`
 
   [[nodiscard]] std::size_t num_cells() const { return cells_.size(); }
 
-  /// Executes cell `i` as one fresh session of `transport`.  Safe to
-  /// call from concurrent threads as long as each thread uses its own
-  /// transport and no cell id is run twice.  With a fault plan active
-  /// the cell runs under the plan's retry policy (DESIGN.md Sec. 12.2)
-  /// and its outcome lands in statuses_[i].
+  /// See BeffPlan::run_cell; with a fault plan the outcome lands in
+  /// statuses_[i].
   void run_cell(std::size_t i, parmsg::Transport& transport) {
+    if (nprocs_ > transport.max_processes()) {
+      throw std::invalid_argument("run_beff: nprocs exceeds transport capacity");
+    }
     if (options_.fault_plan == nullptr) {
       run_cell_once(i, transport);
       return;
@@ -508,41 +517,42 @@ class CellSweep {
   std::vector<robust::CellStatus> statuses_;  // sized only with a fault plan
 };
 
-void validate_nprocs(int nprocs, int max_processes) {
-  if (nprocs < 2) throw std::invalid_argument("run_beff: need at least 2 processes");
-  if (nprocs > max_processes) {
-    throw std::invalid_argument("run_beff: nprocs exceeds transport capacity");
-  }
+BeffPlan::BeffPlan(int nprocs, const BeffOptions& options)
+    : impl_(std::make_unique<Impl>(nprocs, options)) {}
+BeffPlan::~BeffPlan() = default;
+
+std::size_t BeffPlan::num_cells() const { return impl_->num_cells(); }
+
+void BeffPlan::run_cell(std::size_t i, parmsg::Transport& transport) {
+  impl_->run_cell(i, transport);
 }
 
-}  // namespace
+BeffResult BeffPlan::finish() { return impl_->finish(); }
 
 BeffResult run_beff(parmsg::Transport& transport, int nprocs,
                     const BeffOptions& options) {
-  validate_nprocs(nprocs, transport.max_processes());
-  CellSweep sweep(nprocs, options);
-  for (std::size_t i = 0; i < sweep.num_cells(); ++i) {
-    sweep.run_cell(i, transport);
+  BeffPlan plan(nprocs, options);
+  for (std::size_t i = 0; i < plan.num_cells(); ++i) {
+    plan.run_cell(i, transport);
   }
-  return sweep.finish();
+  return plan.finish();
 }
 
 BeffResult run_beff(const TransportFactory& make_transport, int nprocs,
                     const BeffOptions& options) {
   const int jobs = util::resolve_jobs(options.jobs);
   if (jobs <= 1) {
+    // One transport shared by every cell: the serial path pays the
+    // topology build once.
     auto transport = make_transport();
     return run_beff(*transport, nprocs, options);
   }
-  auto probe = make_transport();
-  validate_nprocs(nprocs, probe->max_processes());
-  probe.reset();
-  CellSweep sweep(nprocs, options);
-  util::parallel_for(jobs, sweep.num_cells(), [&](std::size_t i) {
+  BeffPlan plan(nprocs, options);
+  util::parallel_for(jobs, plan.num_cells(), [&](std::size_t i) {
     auto transport = make_transport();
-    sweep.run_cell(i, *transport);
+    plan.run_cell(i, *transport);
   });
-  return sweep.finish();
+  return plan.finish();
 }
 
 std::string protocol_report(const BeffResult& r) {

@@ -24,10 +24,11 @@
 // analysis pattern.  Every cell runs as its own transport session with
 // its own simt::Engine, so cells share no simulator state and may run
 // on concurrent host threads (BeffOptions::jobs with the factory
-// overload).  Results land in slots indexed by cell id and are reduced
-// in index order, which makes every reported number byte-identical for
-// every jobs value -- see DESIGN.md "Determinism under parallel
-// execution".
+// overload, or the report sweep scheduling many plans' cells in one
+// batch -- see BeffPlan).  Results land in slots indexed by cell id
+// and are reduced in index order, which makes every reported number
+// byte-identical for every jobs value -- see DESIGN.md "Determinism
+// under parallel execution".
 #pragma once
 
 #include <array>
@@ -173,14 +174,49 @@ struct BeffResult {
   }
 };
 
+/// One b_eff run as a flat table of independent measurement cells.
+/// Construction builds every cell body and pre-sizes one result slot
+/// per cell; run_cell() executes one cell as its own transport session
+/// on any host thread, in any order; finish() reduces the slots in
+/// index order.  Because each cell owns its engine and the reduction
+/// order is fixed, the result is byte-identical no matter how -- or
+/// across how many plans at once -- the cells were scheduled.  Both
+/// run_beff overloads and the report sweep (core/report) drive this.
+class BeffPlan {
+ public:
+  /// Throws std::invalid_argument for fewer than 2 processes.
+  BeffPlan(int nprocs, const BeffOptions& options);
+  ~BeffPlan();
+
+  /// 3 cells per averaging pattern (one per method), then the analysis
+  /// cells when BeffOptions::measure_analysis is set.
+  [[nodiscard]] std::size_t num_cells() const;
+
+  /// Executes cell `i` as one fresh session of `transport`.  Safe to
+  /// call from concurrent threads as long as each thread uses its own
+  /// transport and no cell id runs twice at once.  With a fault plan
+  /// the cell runs under the plan's retry policy (DESIGN.md Sec. 12.2).
+  /// Throws std::invalid_argument if the transport has fewer than
+  /// `nprocs` processes.
+  void run_cell(std::size_t i, parmsg::Transport& transport);
+
+  /// Ordered reduction over every slot (paper Sec. 4 aggregation).
+  /// Call once, after every cell ran; the plan is spent afterwards.
+  BeffResult finish();
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
 /// Makes one independent transport instance per measurement cell.
 /// Must be callable from concurrent threads; each returned transport
 /// is used by exactly one thread.
 using TransportFactory = std::function<std::unique_ptr<parmsg::Transport>()>;
 
 /// Run the full benchmark on `nprocs` processes of `transport`.
-/// Executes the measurement cells serially on the given transport
-/// (one session per cell); `options.jobs` is ignored.
+/// Executes the plan's cells serially on the given transport (one
+/// session per cell); `options.jobs` is ignored.
 BeffResult run_beff(parmsg::Transport& transport, int nprocs,
                     const BeffOptions& options);
 

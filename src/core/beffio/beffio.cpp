@@ -455,7 +455,7 @@ class Driver {
 };
 
 /// Per-chain outputs that would race if chains wrote them into the
-/// shared result directly; reduced in chain order by finish_beffio.
+/// shared result directly; reduced in chain order by BeffIoPlan::finish.
 struct ChainOutput {
   double seconds = 0.0;
   pfsim::FileSystem::Stats stats;
@@ -496,7 +496,7 @@ void run_chain_once(parmsg::SimTransport& transport,
   // unless a profiler is attached; never feeds the result.
   obs::prof::Scope prof_scope("beffio", chain_name(chain));
   std::unique_ptr<pario::IoContext> ctx;
-  // Per-chain registry (see CellSweep::run_cell): the chain owns the
+  // Per-chain registry (see BeffPlan::run_cell): the chain owns the
   // only reference, and its snapshot is merged in chain order later.
   obs::Registry registry;
   if (options.collect_metrics) transport.attach_metrics(&registry);
@@ -590,118 +590,128 @@ void reset_chain_slots(BeffIoResult* result, int chain) {
   }
 }
 
-/// run_chain_once under the fault plan's retry policy (straight call
-/// when faults are off).  `status` receives the chain's outcome and
-/// may be nullptr only when options.fault_plan is nullptr.
-void run_chain(parmsg::SimTransport& transport,
-               const pfsim::IoSystemConfig& io_config, int nprocs,
-               const BeffIoOptions& options,
-               const std::vector<IoPattern>& table, int chain,
-               BeffIoResult* result, ChainOutput* out,
-               robust::CellStatus* status) {
-  if (options.fault_plan == nullptr) {
-    run_chain_once(transport, io_config, nprocs, options, table, chain, result,
-                   out);
-    return;
-  }
-  transport.set_fault_plan(options.fault_plan);
-  *status = robust::run_with_retry(
-      options.fault_plan->retry,
-      [&](int attempt) {
-        transport.set_fault_attempt(attempt);
-        run_chain_once(transport, io_config, nprocs, options, table, chain,
-                       result, out);
-      },
-      [&] {
-        *out = ChainOutput{};
-        reset_chain_slots(result, chain);
-      });
-  transport.set_fault_plan(nullptr);
-}
-
-/// Moves per-chain retry outcomes into the result (fault runs only, so
-/// fault-free results keep the exact pre-fault field contents).
-void attach_chain_status(BeffIoResult* result,
-                         std::vector<robust::CellStatus>&& statuses,
-                         int nchains) {
-  result->chain_status = std::move(statuses);
-  for (int chain = 0; chain < nchains; ++chain) {
-    result->chain_labels.push_back("chain " + std::to_string(chain) + ": " +
-                                   chain_name(chain));
-  }
-}
-
-/// Ordered reduction over the chain outputs plus the paper Sec. 5.1
-/// aggregation.  Strictly chain-ordered so floating-point sums cannot
-/// depend on the execution schedule.
-void finish_beffio(BeffIoResult* result, const std::vector<ChainOutput>& outs) {
-  for (const auto& o : outs) {
-    result->benchmark_seconds += o.seconds;
-    result->fs_stats.requests += o.stats.requests;
-    result->fs_stats.bytes_written += o.stats.bytes_written;
-    result->fs_stats.bytes_read += o.stats.bytes_read;
-    result->fs_stats.read_cache_hits += o.stats.read_cache_hits;
-    result->fs_stats.read_cache_misses += o.stats.read_cache_misses;
-    result->fs_stats.rmw_chunks += o.stats.rmw_chunks;
-    result->fs_stats.seeks += o.stats.seeks;
-    result->metrics.merge(o.metrics);  // chain-ordered, deterministic
-  }
-  const double w = result->write().weighted_bandwidth();
-  const double rw = result->rewrite().weighted_bandwidth();
-  const double r = result->read().weighted_bandwidth();
-  result->b_eff_io = 0.25 * w + 0.25 * rw + 0.5 * r;
-}
-
-BeffIoResult make_result_header(int nprocs, const BeffIoOptions& options) {
-  if (options.scheduled_time <= 0.0) {
-    throw std::invalid_argument("run_beffio: scheduled_time must be > 0");
-  }
-  BeffIoResult result;
-  result.nprocs = nprocs;
-  result.scheduled_time = options.scheduled_time;
-  result.mpart = mpart_for_memory(options.memory_per_node);
-  if (options.mpart_cap > 0) {
-    result.mpart = std::min(result.mpart, options.mpart_cap);
-  }
-  for (int m = 0; m < kNumAccessMethods; ++m) {
-    result.access[static_cast<std::size_t>(m)].method =
-        static_cast<AccessMethod>(m);
-  }
-  return result;
-}
-
-void validate_nprocs(int nprocs, int max_processes) {
-  if (nprocs < 1 || nprocs > max_processes) {
-    throw std::invalid_argument("run_beffio: bad process count");
-  }
-}
-
 }  // namespace
+
+/// The state behind BeffIoPlan: the result header and pattern table
+/// fixed up front, plus one output slot per chain.
+class BeffIoPlan::Impl {
+ public:
+  Impl(const pfsim::IoSystemConfig& io_config, int nprocs,
+       const BeffIoOptions& options)
+      : io_config_(io_config), nprocs_(nprocs), options_(options) {
+    if (nprocs < 1) throw std::invalid_argument("run_beffio: bad process count");
+    if (options.scheduled_time <= 0.0) {
+      throw std::invalid_argument("run_beffio: scheduled_time must be > 0");
+    }
+    result_.nprocs = nprocs;
+    result_.scheduled_time = options.scheduled_time;
+    result_.mpart = mpart_for_memory(options.memory_per_node);
+    if (options.mpart_cap > 0) {
+      result_.mpart = std::min(result_.mpart, options.mpart_cap);
+    }
+    for (int m = 0; m < kNumAccessMethods; ++m) {
+      result_.access[static_cast<std::size_t>(m)].method =
+          static_cast<AccessMethod>(m);
+    }
+    table_ = pattern_table(result_.mpart);
+    const int nchains =
+        options.include_random_type ? kNumChains : kNumChains - 1;
+    outs_.resize(static_cast<std::size_t>(nchains));
+    if (options.fault_plan != nullptr) statuses_.resize(outs_.size());
+  }
+
+  [[nodiscard]] std::size_t num_cells() const { return outs_.size(); }
+
+  /// See BeffIoPlan::run_cell: run_chain_once, under the fault plan's
+  /// retry policy when one is set.
+  void run_cell(std::size_t i, parmsg::SimTransport& transport) {
+    if (nprocs_ > transport.max_processes()) {
+      throw std::invalid_argument("run_beffio: bad process count");
+    }
+    const int chain = static_cast<int>(i);
+    if (options_.fault_plan == nullptr) {
+      run_chain_once(transport, io_config_, nprocs_, options_, table_, chain,
+                     &result_, &outs_[i]);
+      return;
+    }
+    transport.set_fault_plan(options_.fault_plan);
+    statuses_[i] = robust::run_with_retry(
+        options_.fault_plan->retry,
+        [&](int attempt) {
+          transport.set_fault_attempt(attempt);
+          run_chain_once(transport, io_config_, nprocs_, options_, table_,
+                         chain, &result_, &outs_[i]);
+        },
+        [&] {
+          outs_[i] = ChainOutput{};
+          reset_chain_slots(&result_, chain);
+        });
+    transport.set_fault_plan(nullptr);
+  }
+
+  /// Ordered reduction over the chain outputs plus the paper Sec. 5.1
+  /// aggregation.  Strictly chain-ordered so floating-point sums cannot
+  /// depend on the execution schedule.
+  BeffIoResult finish() {
+    for (const auto& o : outs_) {
+      result_.benchmark_seconds += o.seconds;
+      result_.fs_stats.requests += o.stats.requests;
+      result_.fs_stats.bytes_written += o.stats.bytes_written;
+      result_.fs_stats.bytes_read += o.stats.bytes_read;
+      result_.fs_stats.read_cache_hits += o.stats.read_cache_hits;
+      result_.fs_stats.read_cache_misses += o.stats.read_cache_misses;
+      result_.fs_stats.rmw_chunks += o.stats.rmw_chunks;
+      result_.fs_stats.seeks += o.stats.seeks;
+      result_.metrics.merge(o.metrics);
+    }
+    const double w = result_.write().weighted_bandwidth();
+    const double rw = result_.rewrite().weighted_bandwidth();
+    const double r = result_.read().weighted_bandwidth();
+    result_.b_eff_io = 0.25 * w + 0.25 * rw + 0.5 * r;
+    // Per-chain outcomes exist only for fault runs, so fault-free
+    // results keep the exact pre-fault field contents.
+    if (options_.fault_plan != nullptr) {
+      result_.chain_status = std::move(statuses_);
+      for (std::size_t chain = 0; chain < outs_.size(); ++chain) {
+        result_.chain_labels.push_back("chain " + std::to_string(chain) +
+                                       ": " +
+                                       chain_name(static_cast<int>(chain)));
+      }
+    }
+    return std::move(result_);
+  }
+
+ private:
+  pfsim::IoSystemConfig io_config_;
+  int nprocs_;
+  BeffIoOptions options_;
+  BeffIoResult result_;
+  std::vector<IoPattern> table_;
+  std::vector<ChainOutput> outs_;
+  std::vector<robust::CellStatus> statuses_;  // sized only with a fault plan
+};
+
+BeffIoPlan::BeffIoPlan(const pfsim::IoSystemConfig& io_config, int nprocs,
+                       const BeffIoOptions& options)
+    : impl_(std::make_unique<Impl>(io_config, nprocs, options)) {}
+BeffIoPlan::~BeffIoPlan() = default;
+
+std::size_t BeffIoPlan::num_cells() const { return impl_->num_cells(); }
+
+void BeffIoPlan::run_cell(std::size_t i, parmsg::SimTransport& transport) {
+  impl_->run_cell(i, transport);
+}
+
+BeffIoResult BeffIoPlan::finish() { return impl_->finish(); }
 
 BeffIoResult run_beffio(parmsg::SimTransport& transport,
                         const pfsim::IoSystemConfig& io_config, int nprocs,
                         const BeffIoOptions& options) {
-  validate_nprocs(nprocs, transport.max_processes());
-  BeffIoResult result = make_result_header(nprocs, options);
-  const auto table = pattern_table(result.mpart);
-  const int nchains = options.include_random_type ? kNumChains : kNumChains - 1;
-  std::vector<ChainOutput> outs(static_cast<std::size_t>(nchains));
-  std::vector<robust::CellStatus> statuses;
-  if (options.fault_plan != nullptr) {
-    statuses.resize(static_cast<std::size_t>(nchains));
+  BeffIoPlan plan(io_config, nprocs, options);
+  for (std::size_t i = 0; i < plan.num_cells(); ++i) {
+    plan.run_cell(i, transport);
   }
-  for (int chain = 0; chain < nchains; ++chain) {
-    run_chain(transport, io_config, nprocs, options, table, chain, &result,
-              &outs[static_cast<std::size_t>(chain)],
-              options.fault_plan != nullptr
-                  ? &statuses[static_cast<std::size_t>(chain)]
-                  : nullptr);
-  }
-  finish_beffio(&result, outs);
-  if (options.fault_plan != nullptr) {
-    attach_chain_status(&result, std::move(statuses), nchains);
-  }
-  return result;
+  return plan.finish();
 }
 
 BeffIoResult run_beffio(const SimTransportFactory& make_transport,
@@ -709,34 +719,17 @@ BeffIoResult run_beffio(const SimTransportFactory& make_transport,
                         const BeffIoOptions& options) {
   const int jobs = util::resolve_jobs(options.jobs);
   if (jobs <= 1) {
+    // One transport shared by every chain: the serial path pays the
+    // topology build once.
     auto transport = make_transport();
     return run_beffio(*transport, io_config, nprocs, options);
   }
-  auto probe = make_transport();
-  validate_nprocs(nprocs, probe->max_processes());
-  probe.reset();
-  BeffIoResult result = make_result_header(nprocs, options);
-  const auto table = pattern_table(result.mpart);
-  const int nchains = options.include_random_type ? kNumChains : kNumChains - 1;
-  std::vector<ChainOutput> outs(static_cast<std::size_t>(nchains));
-  std::vector<robust::CellStatus> statuses;
-  if (options.fault_plan != nullptr) {
-    statuses.resize(static_cast<std::size_t>(nchains));
-  }
-  util::parallel_for(jobs, static_cast<std::size_t>(nchains),
-                     [&](std::size_t chain) {
-                       auto transport = make_transport();
-                       run_chain(*transport, io_config, nprocs, options, table,
-                                 static_cast<int>(chain), &result, &outs[chain],
-                                 options.fault_plan != nullptr
-                                     ? &statuses[chain]
-                                     : nullptr);
-                     });
-  finish_beffio(&result, outs);
-  if (options.fault_plan != nullptr) {
-    attach_chain_status(&result, std::move(statuses), nchains);
-  }
-  return result;
+  BeffIoPlan plan(io_config, nprocs, options);
+  util::parallel_for(jobs, plan.num_cells(), [&](std::size_t i) {
+    auto transport = make_transport();
+    plan.run_cell(i, *transport);
+  });
+  return plan.finish();
 }
 
 std::string beffio_report(const BeffIoResult& r) {

@@ -28,10 +28,11 @@
 // 3/4 of the same method), chain 3 = the random extension.  Each
 // chain runs as its own transport session with its own engine and
 // file system, so chains may run on concurrent host threads
-// (BeffIoOptions::jobs with the factory overload); per-chain outputs
-// land in disjoint slots and are reduced in chain order, keeping
-// every reported number byte-identical for every jobs value -- see
-// DESIGN.md "Determinism under parallel execution".
+// (BeffIoOptions::jobs with the factory overload, or the report sweep
+// scheduling many plans' chains in one batch -- see BeffIoPlan);
+// per-chain outputs land in disjoint slots and are reduced in chain
+// order, keeping every reported number byte-identical for every jobs
+// value -- see DESIGN.md "Determinism under parallel execution".
 #pragma once
 
 #include <array>
@@ -176,6 +177,41 @@ struct BeffIoResult {
   [[nodiscard]] const AccessMethodResult& read() const { return access[2]; }
 };
 
+/// One b_eff_io run as its independent measurement chains (the plan's
+/// cells; same contract as beff::BeffPlan).  Construction fixes the
+/// result header and pre-sizes one output slot per chain; run_cell()
+/// executes one chain as its own transport session with its own
+/// engine and file system, on any host thread, in any order; finish()
+/// reduces the chain outputs in chain order.  Both run_beffio
+/// overloads and the report sweep (core/report) drive this.
+class BeffIoPlan {
+ public:
+  /// Copies `io_config` and `options`.  Throws std::invalid_argument
+  /// for nprocs < 1 or a non-positive scheduled time.
+  BeffIoPlan(const pfsim::IoSystemConfig& io_config, int nprocs,
+             const BeffIoOptions& options);
+  ~BeffIoPlan();
+
+  /// 3 chains, or 4 with BeffIoOptions::include_random_type.
+  [[nodiscard]] std::size_t num_cells() const;
+
+  /// Executes chain `i` as one fresh session of `transport`.  Safe to
+  /// call from concurrent threads as long as each thread uses its own
+  /// transport and no chain runs twice at once.  With a fault plan the
+  /// chain runs under the plan's retry policy (DESIGN.md Sec. 12.2).
+  /// Throws std::invalid_argument if the transport has fewer than
+  /// `nprocs` processes.
+  void run_cell(std::size_t i, parmsg::SimTransport& transport);
+
+  /// Ordered reduction plus the paper Sec. 5.1 aggregation.  Call
+  /// once, after every chain ran; the plan is spent afterwards.
+  BeffIoResult finish();
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
 /// Makes one independent transport instance per measurement chain.
 /// Must be callable from concurrent threads; each returned transport
 /// is used by exactly one thread.
@@ -183,8 +219,8 @@ using SimTransportFactory =
     std::function<std::unique_ptr<parmsg::SimTransport>()>;
 
 /// Run b_eff_io on `nprocs` ranks of the simulated machine with the
-/// given I/O subsystem.  Executes the measurement chains serially on
-/// the given transport (one session per chain); `options.jobs` is
+/// given I/O subsystem.  Executes the plan's chains serially on the
+/// given transport (one session per chain); `options.jobs` is
 /// ignored.
 BeffIoResult run_beffio(parmsg::SimTransport& transport,
                         const pfsim::IoSystemConfig& io_config, int nprocs,

@@ -1,10 +1,12 @@
 #include "core/report/experiments.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -544,6 +546,75 @@ std::vector<FaultSweepRun> fault_sweep_runs_from(const scenario::Scenario& sc) {
   return v;
 }
 
+/// One journaled b_eff or b_eff_io partition of the flat sweep.  Each
+/// plan cell is its own pool task; the worker that finishes the last
+/// cell (atomic countdown) reduces the plan into the result, frees the
+/// plan and journals the partition (DESIGN.md Sec. 9/12.3).
+template <typename Plan, typename Result>
+struct Partition {
+  std::string what;  // progress label, e.g. "b_eff t3e, 256 procs"
+  std::string task;  // journal key, e.g. "beff/0"
+  machines::MachineSpec machine;  // every cell builds its own transport
+  int nprocs = 0;
+  Result* result = nullptr;
+  std::unique_ptr<Plan> plan;  // null when replayed from the journal
+  std::atomic<bool> started{false};
+  std::atomic<std::size_t> remaining{0};
+  double wall0 = 0.0;  // written by the first cell to start (verbose)
+};
+using BeffPartition = Partition<beff::BeffPlan, beff::BeffResult>;
+using IoPartition = Partition<beffio::BeffIoPlan, beffio::BeffIoResult>;
+
+void record(Checkpoint& ck, const std::string& task, const beff::BeffResult& r) {
+  ck.record_beff(task, r);
+}
+void record(Checkpoint& ck, const std::string& task,
+            const beffio::BeffIoResult& r) {
+  ck.record_io(task, r);
+}
+bool load(const Checkpoint& ck, const std::string& task, beff::BeffResult* r) {
+  return ck.load_beff(task, r);
+}
+bool load(const Checkpoint& ck, const std::string& task,
+          beffio::BeffIoResult* r) {
+  return ck.load_io(task, r);
+}
+
+/// Appends one task per cell of every planned partition.  "start" is
+/// logged by a partition's first cell to start, "finish" by its last
+/// to finish.  The countdown's atomic decrements order every cell's
+/// slot writes (and wall0) before the worker that runs finish().
+template <typename Plan, typename Result>
+void add_cell_tasks(std::vector<Partition<Plan, Result>>& parts, bool verbose,
+                    Checkpoint* ck, int kill_after,
+                    std::vector<std::function<void()>>* tasks) {
+  for (auto& part : parts) {
+    if (part.plan == nullptr) continue;
+    const std::size_t n = part.plan->num_cells();
+    part.remaining = n;
+    for (std::size_t cell = 0; cell < n; ++cell) {
+      tasks->push_back([&part, cell, verbose, ck, kill_after] {
+        if (verbose && !part.started.exchange(true)) {
+          part.wall0 = log_cell_start(part.what);
+        }
+        {
+          parmsg::SimTransport transport(
+              part.machine.make_topology(part.nprocs), part.machine.costs);
+          part.plan->run_cell(cell, transport);
+        }
+        if (part.remaining.fetch_sub(1) != 1) return;
+        *part.result = part.plan->finish();
+        part.plan.reset();
+        if (verbose) log_cell_finish(part.what, part.wall0);
+        if (ck != nullptr) {
+          record(*ck, part.task, *part.result);
+          maybe_kill(ck, kill_after);
+        }
+      });
+    }
+  }
+}
+
 }  // namespace
 
 ExperimentsData run_experiments(const ExperimentOptions& options) {
@@ -596,81 +667,103 @@ ExperimentsData run_experiments(const ExperimentOptions& options) {
                                       options.resume);
   }
 
-  // One flat task list: every b_eff partition, every b_eff_io run and
-  // the termination-check micro measurement are independent
-  // simulations writing into disjoint slots; host scheduling order
-  // cannot change any output byte (DESIGN.md Sec. 9/10.2).
-  const std::size_t n_beff = data.beff.size();
-  const std::size_t n_io = data.io.size();
-  const std::size_t n_kern = data.kernels.size();
-  const std::size_t n_fs = data.fault_sweep.size();
-  util::parallel_for(jobs, n_beff + n_io + n_kern + n_fs + 1,
-                     [&](std::size_t i) {
-    if (i < n_beff) {
-      BeffRun& run = data.beff[i];
-      auto m = resolve(run.key);
-      run.memory_per_proc = m.memory_per_proc;
-      run.rmax_gflops_per_proc = m.rmax_gflops_per_proc;
-      const std::string what =
-          "b_eff " + run.key + ", " + std::to_string(run.nprocs) + " procs";
-      const std::string task = "beff/" + std::to_string(i);
-      if (ck != nullptr && ck->load_beff(task, &run.r)) {
-        if (verbose) {
-          std::fprintf(stderr, "[report] replay %s (checkpoint)\n",
-                       what.c_str());
-        }
-        return;
-      }
-      const double t0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      parmsg::SimTransport transport(m.make_topology(run.nprocs), m.costs);
-      beff::BeffOptions opt;
-      opt.memory_per_proc = m.memory_per_proc;
-      opt.measure_analysis = run.first;
-      opt.collect_metrics = true;
-      opt.fault_plan = fault_plan;
-      run.r = beff::run_beff(transport, run.nprocs, opt);
-      if (verbose) log_cell_finish(what, t0);
-      if (ck != nullptr) {
-        ck->record_beff(task, run.r);
-        maybe_kill(ck.get(), options.kill_after);
-      }
-    } else if (i < n_beff + n_io) {
-      IoRun& run = data.io[i - n_beff];
-      auto m = resolve(run.key);
-      char t_buf[32];
-      std::snprintf(t_buf, sizeof t_buf, "T=%.0fs", run.scheduled_seconds);
-      const std::string what = "b_eff_io " + run.figure + "/" + run.key + ", " +
-                               std::to_string(run.nprocs) + " procs, " + t_buf;
-      const std::string task = "io/" + std::to_string(i - n_beff);
-      if (ck != nullptr && ck->load_io(task, &run.r)) {
-        if (verbose) {
-          std::fprintf(stderr, "[report] replay %s (checkpoint)\n",
-                       what.c_str());
-        }
-        return;
-      }
-      const double t0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      parmsg::SimTransport transport(m.make_topology(run.nprocs), m.costs);
-      beffio::BeffIoOptions opt;
-      opt.scheduled_time = run.scheduled_seconds;
-      opt.memory_per_node = m.memory_per_proc;
-      opt.mpart_cap = run.mpart_cap;
-      opt.file_prefix = m.short_name;
-      opt.collect_metrics = true;
-      opt.fault_plan = fault_plan;
-      run.r = beffio::run_beffio(transport, *m.io, run.nprocs, opt);
-      if (verbose) log_cell_finish(what, t0);
-      if (ck != nullptr) {
-        ck->record_io(task, run.r);
-        maybe_kill(ck.get(), options.kill_after);
-      }
-    } else if (i < n_beff + n_io + n_kern) {
-      // Kernel-suite cells are analytic (microseconds of host time)
-      // and therefore never journaled: re-running them on resume is
-      // byte-identical and cheaper than replaying a checkpoint entry.
-      KernelRun& run = data.kernels[i - n_beff - n_io];
+  // Set-up, serial and in partition order: resolve every partition's
+  // machine, replay the journaled ones, and build a plan for the rest.
+  // A replayed partition builds no plan and schedules no task.
+  // prepare() returns true when the partition still needs a plan.
+  auto prepare = [&](auto& part, const std::string& key, int nprocs,
+                     auto* result, std::string what, std::string task) {
+    part.machine = resolve(key);
+    part.nprocs = nprocs;
+    part.result = result;
+    part.what = std::move(what);
+    part.task = std::move(task);
+    if (ck == nullptr || !load(*ck, part.task, result)) return true;
+    if (verbose) {
+      std::fprintf(stderr, "[report] replay %s (checkpoint)\n",
+                   part.what.c_str());
+    }
+    return false;
+  };
+  std::vector<BeffPartition> beff_parts(data.beff.size());
+  for (std::size_t i = 0; i < data.beff.size(); ++i) {
+    BeffRun& run = data.beff[i];
+    BeffPartition& part = beff_parts[i];
+    const bool fresh =
+        prepare(part, run.key, run.nprocs, &run.r,
+                "b_eff " + run.key + ", " + std::to_string(run.nprocs) + " procs",
+                "beff/" + std::to_string(i));
+    run.memory_per_proc = part.machine.memory_per_proc;
+    run.rmax_gflops_per_proc = part.machine.rmax_gflops_per_proc;
+    if (!fresh) continue;
+    beff::BeffOptions opt;
+    opt.memory_per_proc = part.machine.memory_per_proc;
+    opt.measure_analysis = run.first;
+    opt.collect_metrics = true;
+    opt.fault_plan = fault_plan;
+    part.plan = std::make_unique<beff::BeffPlan>(run.nprocs, opt);
+  }
+  // Fault-rate sweep: the same b_eff cell re-run under each link fault
+  // rate.  Each point carries its own plan (rate, seed, window),
+  // independent of the run-wide --faults plan.
+  std::vector<BeffPartition> fs_parts(data.fault_sweep.size());
+  for (std::size_t i = 0; i < data.fault_sweep.size(); ++i) {
+    FaultSweepRun& run = data.fault_sweep[i];
+    BeffPartition& part = fs_parts[i];
+    char rate_buf[32];
+    std::snprintf(rate_buf, sizeof rate_buf, "link=%g", run.rate);
+    if (!prepare(part, run.key, run.nprocs, &run.r,
+                 "fault-sweep " + run.key + ", " + std::to_string(run.nprocs) +
+                     " procs, " + rate_buf,
+                 "faultsweep/" + std::to_string(i))) {
+      continue;
+    }
+    beff::BeffOptions opt;
+    opt.memory_per_proc = part.machine.memory_per_proc;
+    opt.measure_analysis = false;
+    opt.collect_metrics = true;
+    opt.fault_plan = &run.plan;
+    part.plan = std::make_unique<beff::BeffPlan>(run.nprocs, opt);
+  }
+  std::vector<IoPartition> io_parts(data.io.size());
+  for (std::size_t i = 0; i < data.io.size(); ++i) {
+    IoRun& run = data.io[i];
+    IoPartition& part = io_parts[i];
+    char t_buf[32];
+    std::snprintf(t_buf, sizeof t_buf, "T=%.0fs", run.scheduled_seconds);
+    if (!prepare(part, run.key, run.nprocs, &run.r,
+                 "b_eff_io " + run.figure + "/" + run.key + ", " +
+                     std::to_string(run.nprocs) + " procs, " + t_buf,
+                 "io/" + std::to_string(i))) {
+      continue;
+    }
+    beffio::BeffIoOptions opt;
+    opt.scheduled_time = run.scheduled_seconds;
+    opt.memory_per_node = part.machine.memory_per_proc;
+    opt.mpart_cap = run.mpart_cap;
+    opt.file_prefix = part.machine.short_name;
+    opt.collect_metrics = true;
+    opt.fault_plan = fault_plan;
+    part.plan = std::make_unique<beffio::BeffIoPlan>(*part.machine.io,
+                                                     run.nprocs, opt);
+  }
+
+  // One flat task list over independent simulations writing disjoint
+  // slots: (b_eff partition x cell), (fault-sweep point x cell),
+  // (b_eff_io partition x chain), the kernel suites and the
+  // termination-check micro measurement.  A partition's result is
+  // reduced by whichever worker finishes its last cell, from slots
+  // only, so host scheduling cannot change any output byte (DESIGN.md
+  // Sec. 9/10.2).
+  std::vector<std::function<void()>> tasks;
+  add_cell_tasks(beff_parts, verbose, ck.get(), options.kill_after, &tasks);
+  add_cell_tasks(fs_parts, verbose, ck.get(), options.kill_after, &tasks);
+  add_cell_tasks(io_parts, verbose, ck.get(), options.kill_after, &tasks);
+  for (KernelRun& run : data.kernels) {
+    // Kernel-suite cells are analytic (microseconds of host time) and
+    // therefore never journaled: re-running them on resume is
+    // byte-identical and cheaper than replaying a checkpoint entry.
+    tasks.push_back([&run, &resolve, verbose] {
       auto m = resolve(run.key);
       run.rmax_gflops_per_proc = m.rmax_gflops_per_proc;
       const std::string what =
@@ -681,59 +774,27 @@ ExperimentsData run_experiments(const ExperimentOptions& options) {
       opt.collect_metrics = true;
       run.r = kernels::run_kernels(m, run.nprocs, opt);
       if (verbose) log_cell_finish(what, t0);
-    } else if (i < n_beff + n_io + n_kern + n_fs) {
-      // Fault-rate sweep: the same b_eff cell re-run under each link
-      // fault rate.  Each point carries its own plan (rate, seed,
-      // window), independent of the run-wide --faults plan.
-      const std::size_t idx = i - n_beff - n_io - n_kern;
-      FaultSweepRun& run = data.fault_sweep[idx];
-      auto m = resolve(run.key);
-      char rate_buf[32];
-      std::snprintf(rate_buf, sizeof rate_buf, "link=%g", run.rate);
-      const std::string what = "fault-sweep " + run.key + ", " +
-                               std::to_string(run.nprocs) + " procs, " +
-                               rate_buf;
-      const std::string task = "faultsweep/" + std::to_string(idx);
-      if (ck != nullptr && ck->load_beff(task, &run.r)) {
-        if (verbose) {
-          std::fprintf(stderr, "[report] replay %s (checkpoint)\n",
-                       what.c_str());
-        }
-        return;
-      }
-      const double t0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      parmsg::SimTransport transport(m.make_topology(run.nprocs), m.costs);
-      beff::BeffOptions opt;
-      opt.memory_per_proc = m.memory_per_proc;
-      opt.measure_analysis = false;
-      opt.collect_metrics = true;
-      opt.fault_plan = &run.plan;
-      run.r = beff::run_beff(transport, run.nprocs, opt);
-      if (verbose) log_cell_finish(what, t0);
-      if (ck != nullptr) {
-        ck->record_beff(task, run.r);
-        maybe_kill(ck.get(), options.kill_after);
-      }
-    } else {
-      // Paper Sec. 5.4: barrier + broadcast on 32 T3E PEs versus the
-      // per-call cost of a small I/O access.
-      const std::string what = "termination-check t3e, 32 procs";
-      const double wall0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      auto m = machines::cray_t3e_900();
-      parmsg::SimTransport transport(m.make_topology(32), m.costs);
-      transport.run(32, [&](parmsg::Comm& c) {
-        const double t0 = c.wtime();
-        c.barrier();
-        int flag = 0;
-        c.bcast(&flag, sizeof flag, 0);
-        if (c.rank() == 0) data.termination_check_seconds = c.wtime() - t0;
-      });
-      data.io_call_seconds = m.io->request_overhead;
-      if (verbose) log_cell_finish(what, wall0);
-    }
+    });
+  }
+  tasks.push_back([&data, verbose] {
+    // Paper Sec. 5.4: barrier + broadcast on 32 T3E PEs versus the
+    // per-call cost of a small I/O access.
+    const std::string what = "termination-check t3e, 32 procs";
+    const double wall0 = verbose ? log_cell_start(what) : 0.0;
+    obs::prof::Scope prof_scope("cell", what);
+    auto m = machines::cray_t3e_900();
+    parmsg::SimTransport transport(m.make_topology(32), m.costs);
+    transport.run(32, [&](parmsg::Comm& c) {
+      const double t0 = c.wtime();
+      c.barrier();
+      int flag = 0;
+      c.bcast(&flag, sizeof flag, 0);
+      if (c.rank() == 0) data.termination_check_seconds = c.wtime() - t0;
+    });
+    data.io_call_seconds = m.io->request_overhead;
+    if (verbose) log_cell_finish(what, wall0);
   });
+  util::parallel_for(jobs, tasks.size(), [&](std::size_t i) { tasks[i](); });
   return data;
 }
 

@@ -53,8 +53,17 @@ void Comm::alltoallv_generic(const void* sendbuf,
   const auto* sbytes = static_cast<const char*>(sendbuf);
   auto* rbytes = static_cast<char*>(recvbuf);
 
+  // Reserve exactly one Request per nonzero peer: every rank holds this
+  // vector while it blocks in waitall, so a 2*p reserve would cost a
+  // 256-rank session 2 MiB for the usual two-neighbour exchange.
+  std::size_t npeers = 0;
+  for (int peer = 0; peer < p; ++peer) {
+    if (peer == me) continue;
+    npeers += (rcounts[static_cast<std::size_t>(peer)] != 0 ? 1 : 0) +
+              (scounts[static_cast<std::size_t>(peer)] != 0 ? 1 : 0);
+  }
   std::vector<Request> reqs;
-  reqs.reserve(static_cast<std::size_t>(p) * 2);
+  reqs.reserve(npeers);
   const int tag = kInternalTagBase - 1;
   for (int peer = 0; peer < p; ++peer) {
     if (peer == me || rcounts[static_cast<std::size_t>(peer)] == 0) continue;

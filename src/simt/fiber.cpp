@@ -27,6 +27,17 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+// ThreadSanitizer needs the same courtesy through its own fiber API
+// (BALBENCH_TSAN_FIBERS comes from fiber.hpp): without it, every
+// swapcontext looks like one thread jumping between stacks, and its
+// per-thread shadow state grows without bound (the `tsan` preset's
+// multi-session tests then run out of memory).  Each Fiber owns a TSan
+// fiber handle and announces every switch to it and back to the
+// resumer's handle.
+#ifdef BALBENCH_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace balbench::simt {
 
 namespace {
@@ -58,6 +69,9 @@ Fiber::Fiber(Fn fn, std::size_t stack_size)
   context_.uc_stack.ss_sp = stack_.base;
   context_.uc_stack.ss_size = stack_.size;
   context_.uc_link = nullptr;  // we always switch back explicitly
+#ifdef BALBENCH_TSAN_FIBERS
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
   const auto self = reinterpret_cast<std::uintptr_t>(this);
   makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
               static_cast<unsigned int>(self >> 32),
@@ -69,6 +83,9 @@ Fiber::~Fiber() {
   // The pool will hand this stack to a future fiber; stale shadow
   // poison from this fiber's deepest frames must not outlive it.
   __asan_unpoison_memory_region(stack_.base, stack_.size);
+#endif
+#ifdef BALBENCH_TSAN_FIBERS
+  __tsan_destroy_fiber(tsan_fiber_);
 #endif
   StackPool::release(stack_);
 }
@@ -98,6 +115,9 @@ void Fiber::run() {
   // frees its fake-stack allocations instead of preserving them.
   asan_start_switch(nullptr, self->asan_resumer_bottom_,
                     self->asan_resumer_size_);
+#ifdef BALBENCH_TSAN_FIBERS
+  __tsan_switch_to_fiber(self->tsan_resumer_, 0);
+#endif
   swapcontext(&self->context_, &self->return_context_);
   // Unreachable.
   assert(false && "finished fiber was resumed");
@@ -109,7 +129,14 @@ void Fiber::resume() {
   started_ = true;
   g_current_fiber = this;
   asan_start_switch(&asan_resumer_fake_, stack_.base, stack_.size);
+#ifdef BALBENCH_TSAN_FIBERS
+  tsan_resumer_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
   if (swapcontext(&return_context_, &context_) != 0) {
+#ifdef BALBENCH_TSAN_FIBERS
+    __tsan_switch_to_fiber(tsan_resumer_, 0);
+#endif
     g_current_fiber = nullptr;
     throw std::runtime_error("Fiber: swapcontext failed");
   }
@@ -124,6 +151,9 @@ void Fiber::suspend() {
   g_current_fiber = nullptr;
   asan_start_switch(&self->asan_fiber_fake_, self->asan_resumer_bottom_,
                     self->asan_resumer_size_);
+#ifdef BALBENCH_TSAN_FIBERS
+  __tsan_switch_to_fiber(self->tsan_resumer_, 0);
+#endif
   if (swapcontext(&self->context_, &self->return_context_) != 0) {
     throw std::runtime_error("Fiber: swapcontext failed");
   }

@@ -17,6 +17,16 @@
 
 #include "simt/stack_pool.hpp"
 
+// ThreadSanitizer builds announce every fiber switch (fiber.cpp); the
+// bookkeeping members exist only there.
+#if defined(__SANITIZE_THREAD__)
+#define BALBENCH_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define BALBENCH_TSAN_FIBERS 1
+#endif
+#endif
+
 namespace balbench::simt {
 
 class Fiber {
@@ -70,6 +80,10 @@ class Fiber {
   void* asan_resumer_fake_ = nullptr;  // resumer's fake stack while inside
   const void* asan_resumer_bottom_ = nullptr;
   std::size_t asan_resumer_size_ = 0;
+#ifdef BALBENCH_TSAN_FIBERS
+  void* tsan_fiber_ = nullptr;    // this fiber's TSan handle
+  void* tsan_resumer_ = nullptr;  // the resumer's TSan handle while inside
+#endif
 };
 
 }  // namespace balbench::simt

@@ -1,6 +1,7 @@
 #include "net/flow.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -48,8 +49,17 @@ bool env_crosscheck() {
 
 FlowNetwork::FlowNetwork(const Topology& topo, simt::Engine& engine)
     : topo_(topo), engine_(engine), mode_(env_solver_mode()),
-      crosscheck_(env_crosscheck()) {
-  link_flows_.resize(topo_.links().size());
+      crosscheck_(env_crosscheck()) {}
+
+void FlowNetwork::size_link_tables() {
+  const auto& links = topo_.links();
+  const std::size_t n = links.size();
+  capacity_.resize(n);
+  for (std::size_t l = 0; l < n; ++l) capacity_[l] = links[l].bandwidth;
+  link_flows_.resize(n);
+  live_pos_.resize(n);
+  dense_of_.resize(n);
+  link_epoch_.resize(n, 0);
 }
 
 void FlowNetwork::start_flow(int src, int dst, double bytes,
@@ -87,6 +97,7 @@ void FlowNetwork::start_flow(int src, int dst, double bytes,
 }
 
 void FlowNetwork::add_active(ActiveFlow flow) {
+  if (link_flows_.empty()) size_link_tables();
   FlowSlot slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -104,7 +115,12 @@ void FlowNetwork::add_active(ActiveFlow flow) {
   f.completion_event = 0;
   f.link_slot.assign(f.path.size(), 0);
   for (std::size_t i = 0; i < f.path.size(); ++i) {
-    auto& members = link_flows_[static_cast<std::size_t>(f.path[i])];
+    const auto idx = static_cast<std::size_t>(f.path[i]);
+    auto& members = link_flows_[idx];
+    if (members.empty()) {
+      live_pos_[idx] = static_cast<std::uint32_t>(live_links_.size());
+      live_links_.push_back(f.path[i]);
+    }
     f.link_slot[i] = static_cast<std::uint32_t>(members.size());
     members.push_back(LinkEntry{slot, static_cast<std::uint32_t>(i)});
   }
@@ -117,7 +133,8 @@ void FlowNetwork::add_active(ActiveFlow flow) {
 void FlowNetwork::remove_from_links(FlowSlot slot) {
   ActiveFlow& f = slots_[slot];
   for (std::size_t i = 0; i < f.path.size(); ++i) {
-    auto& members = link_flows_[static_cast<std::size_t>(f.path[i])];
+    const auto idx = static_cast<std::size_t>(f.path[i]);
+    auto& members = link_flows_[idx];
     const std::uint32_t pos = f.link_slot[i];
     assert(pos < members.size() && members[pos].flow == slot);
     members[pos] = members.back();
@@ -127,6 +144,12 @@ void FlowNetwork::remove_from_links(FlowSlot slot) {
       // that flow's back-pointer exact.
       const LinkEntry& moved = members[pos];
       slots_[moved.flow].link_slot[moved.path_pos] = pos;
+    } else if (members.empty()) {
+      // Last flow gone: swap-remove the link from the non-empty list.
+      const LinkId last = live_links_.back();
+      live_links_[live_pos_[idx]] = last;
+      live_pos_[static_cast<std::size_t>(last)] = live_pos_[idx];
+      live_links_.pop_back();
     }
     // The departed flow's former links seed the next component walk:
     // every flow whose rate can change is reachable from them.
@@ -148,10 +171,8 @@ void FlowNetwork::schedule_resolve() {
 std::size_t FlowNetwork::collect_affected() {
   ++epoch_;
   if (flow_epoch_.size() < slots_.size()) flow_epoch_.resize(slots_.size(), 0);
-  if (link_epoch_.size() < link_flows_.size()) {
-    link_epoch_.resize(link_flows_.size(), 0);
-  }
   bfs_stack_.clear();
+  component_links_.clear();
   std::size_t marked = 0;
   const auto push_flow = [this, &marked](FlowSlot s) {
     if (flow_epoch_[s] == epoch_) return;
@@ -163,6 +184,7 @@ std::size_t FlowNetwork::collect_affected() {
     const auto idx = static_cast<std::size_t>(l);
     if (link_epoch_[idx] == epoch_) return;
     link_epoch_[idx] = epoch_;
+    component_links_.push_back(l);
     for (const LinkEntry& e : link_flows_[idx]) push_flow(e.flow);
   };
   for (FlowSlot s : dirty_flows_) {
@@ -183,91 +205,179 @@ std::size_t FlowNetwork::collect_affected() {
 }
 
 void FlowNetwork::fill_rates(const std::vector<FlowSlot>& flows,
+                             const std::vector<LinkId>& links,
                              std::vector<double>& rates) {
   // --- Progressive filling (max-min fairness). ---
-  // Only links actually crossed by a participating flow take part; on
-  // large topologies this is a small subset.
-  const auto& links = topo_.links();
-  if (residual_.size() != links.size()) {
-    residual_.assign(links.size(), 0.0);
-    flows_on_link_.assign(links.size(), 0);
-  }
-  touched_links_.clear();
-  rates.assign(flows.size(), 0.0);
-  unfixed_.clear();
-  // Resolve the slot indirection once: the freeze loop below touches
-  // every unfixed path each round, and chasing slots_ from inside it
-  // costs a measurable fraction of the whole solve.
+  const std::size_t nflows = flows.size();
+  rates.assign(nflows, 0.0);
+  frozen_.assign(nflows, 0);
+  candidates_.assign((nflows + 63) / 64, 0);
+  // Resolve the slot indirection once: freezing walks the frozen
+  // flow's path, and chasing slots_ from inside it costs a measurable
+  // fraction of the whole solve.
+  if (fill_pos_.size() < slots_.size()) fill_pos_.resize(slots_.size());
   paths_scratch_.clear();
-  for (std::uint32_t i = 0; i < flows.size(); ++i) {
-    unfixed_.push_back(i);
+  for (std::uint32_t i = 0; i < nflows; ++i) {
+    fill_pos_[flows[i]] = i;
     paths_scratch_.push_back(&slots_[flows[i]].path);
-    for (LinkId l : *paths_scratch_.back()) {
-      const auto idx = static_cast<std::size_t>(l);
-      if (flows_on_link_[idx] == 0) {
-        touched_links_.push_back(l);
-        residual_[idx] = links[idx].bandwidth;
-      }
-      ++flows_on_link_[idx];
+  }
+  // The flow set is closed under link sharing, so a link's count of
+  // participating flows is the size of its flow set -- no path walk.
+  dense_link_.resize(links.size());
+  dense_residual_.resize(links.size());
+  dense_count_.resize(links.size());
+  dense_share_.resize(links.size());
+  std::size_t ndense = 0;
+  for (LinkId l : links) {
+    const auto idx = static_cast<std::size_t>(l);
+    const auto count = static_cast<int>(link_flows_[idx].size());
+    if (count == 0) continue;
+    dense_of_[idx] = static_cast<std::uint32_t>(ndense);
+    dense_link_[ndense] = l;
+    dense_residual_[ndense] = capacity_[idx];
+    dense_count_[ndense] = count;
+    dense_share_[ndense] = capacity_[idx] / count;
+    ++ndense;
+  }
+  dense_link_.resize(ndense);
+  dense_residual_.resize(ndense);
+  dense_count_.resize(ndense);
+  dense_share_.resize(ndense);
+  dense_band_.resize(ndense, 0);
+  dead_links_ = 0;
+#ifndef NDEBUG
+  for (LinkId l : dense_link_) {
+    for (const LinkEntry& e : link_flows_[static_cast<std::size_t>(l)]) {
+      const std::uint32_t pos = fill_pos_[e.flow];
+      assert(pos < nflows && flows[pos] == e.flow &&
+             "flow on a listed link missing from the fill set");
     }
   }
-
-  while (!unfixed_.empty()) {
-    // Most constrained link: smallest residual fair share.  Links
-    // whose flows have all frozen are compacted away in passing, so
-    // this scan shrinks as the fill proceeds instead of re-walking
-    // every touched link each round.
-    double min_share = std::numeric_limits<double>::max();
-    std::size_t live = 0;
-    for (LinkId l : touched_links_) {
-      const auto idx = static_cast<std::size_t>(l);
-      if (flows_on_link_[idx] > 0) {
-        touched_links_[live++] = l;
-        min_share = std::min(min_share, residual_[idx] / flows_on_link_[idx]);
-      }
-      // else: count already zero, which is exactly the scratch
-      // invariant the next fill expects -- safe to forget the link.
+  for (const auto* path : paths_scratch_) {
+    for (LinkId l : *path) {
+      const std::uint32_t k = dense_of_[static_cast<std::size_t>(l)];
+      assert(k < dense_link_.size() && dense_link_[k] == l &&
+             "link of a filled flow missing from the fill's link list");
     }
-    touched_links_.resize(live);
+  }
+#endif
+
+  constexpr double kDead = std::numeric_limits<double>::infinity();
+  std::size_t unfixed = nflows;
+  while (unfixed > 0) {
+    if (2 * dead_links_ > dense_link_.size()) compact_dense_links();
+    // Most constrained link: smallest residual fair share (dead links
+    // sit at +inf and never win).
+    const double min_share = min_dense_share();
     if (min_share == std::numeric_limits<double>::max()) {
-      report_fill_stall("no saturable link", unfixed_.size(), flows.size());
+      report_fill_stall("no saturable link", unfixed, nflows);
       break;
     }
 
-    // Freeze every unfixed flow that crosses a bottleneck link.
-    const double eps = min_share * 1e-12;
-    const auto is_bottleneck = [&](LinkId l) {
-      const auto idx = static_cast<std::size_t>(l);
-      return residual_[idx] / flows_on_link_[idx] <= min_share + eps;
-    };
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < unfixed_.size(); ++i) {
-      const std::uint32_t fi = unfixed_[i];
-      const auto& path = *paths_scratch_[fi];
-      const bool frozen =
-          std::any_of(path.begin(), path.end(), is_bottleneck);
-      if (frozen) {
-        rates[fi] = min_share;
-        for (LinkId l : path) {
-          const auto idx = static_cast<std::size_t>(l);
-          residual_[idx] = std::max(0.0, residual_[idx] - min_share);
-          --flows_on_link_[idx];
-        }
-      } else {
-        unfixed_[kept++] = fi;
+    // Freeze every unfixed flow that crosses a bottleneck link, visiting
+    // flows in fill order and testing each against the *live* shares
+    // (earlier freezes in this round move them).  Only flows on a link
+    // inside the tie band can pass that test, so those are the only
+    // ones visited.  A freeze never lowers a share in exact arithmetic;
+    // should rounding ever pull a link into the band mid-round, its
+    // flows still ahead of the walk join the candidates right there.
+    const double bound = min_share + min_share * 1e-12;
+    const std::uint64_t round = ++fill_round_;
+    for (std::uint32_t k = 0; k < dense_share_.size(); ++k) {
+      if (dense_share_[k] <= bound) {
+        dense_band_[k] = round;
+        gather_candidates(k, 0);
       }
     }
-    if (kept == unfixed_.size()) {
-      report_fill_stall("no flow crosses a bottleneck", kept, flows.size());
+    std::size_t frozen_now = 0;
+    for (std::size_t w = 0; w < candidates_.size(); ++w) {
+      while (candidates_[w] != 0) {
+        const auto fi = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(candidates_[w])));
+        candidates_[w] &= candidates_[w] - 1;
+        const auto& path = *paths_scratch_[fi];
+        const bool bottlenecked =
+            std::any_of(path.begin(), path.end(), [&](LinkId l) {
+              return dense_share_[dense_of_[static_cast<std::size_t>(l)]] <=
+                     bound;
+            });
+        if (!bottlenecked) continue;
+        rates[fi] = min_share;
+        frozen_[fi] = 1;
+        ++frozen_now;
+        for (LinkId l : path) {
+          const std::uint32_t k = dense_of_[static_cast<std::size_t>(l)];
+          dense_residual_[k] = std::max(0.0, dense_residual_[k] - min_share);
+          if (--dense_count_[k] == 0) {
+            dense_share_[k] = kDead;
+            ++dead_links_;
+            continue;
+          }
+          dense_share_[k] = dense_residual_[k] / dense_count_[k];
+          if (dense_share_[k] <= bound && dense_band_[k] != round) {
+            dense_band_[k] = round;
+            gather_candidates(k, fi + 1);
+          }
+        }
+      }
+    }
+    if (frozen_now == 0) {
+      report_fill_stall("no flow crosses a bottleneck", unfixed, nflows);
       break;
     }
-    unfixed_.resize(kept);
+    unfixed -= frozen_now;
   }
-  // Restore scratch state for the next fill (counts normally reach
-  // zero; the stall paths above may leave residue).
-  for (LinkId l : touched_links_) {
-    flows_on_link_[static_cast<std::size_t>(l)] = 0;
+}
+
+double FlowNetwork::min_dense_share() const {
+  // Four independent accumulators: a single running minimum is one long
+  // dependency chain, and a minimum does not depend on the grouping.
+  double m[4] = {std::numeric_limits<double>::max(),
+                 std::numeric_limits<double>::max(),
+                 std::numeric_limits<double>::max(),
+                 std::numeric_limits<double>::max()};
+  const double* share = dense_share_.data();
+  const std::size_t n = dense_share_.size();
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    m[0] = std::min(m[0], share[k]);
+    m[1] = std::min(m[1], share[k + 1]);
+    m[2] = std::min(m[2], share[k + 2]);
+    m[3] = std::min(m[3], share[k + 3]);
   }
+  for (; k < n; ++k) m[0] = std::min(m[0], share[k]);
+  return std::min(std::min(m[0], m[1]), std::min(m[2], m[3]));
+}
+
+void FlowNetwork::gather_candidates(std::uint32_t k, std::uint32_t from) {
+  for (const LinkEntry& e :
+       link_flows_[static_cast<std::size_t>(dense_link_[k])]) {
+    const std::uint32_t pos = fill_pos_[e.flow];
+    if (pos >= from && frozen_[pos] == 0) {
+      candidates_[pos / 64] |= std::uint64_t{1} << (pos % 64);
+    }
+  }
+}
+
+void FlowNetwork::compact_dense_links() {
+  std::size_t live = 0;
+  for (std::size_t k = 0; k < dense_link_.size(); ++k) {
+    if (dense_count_[k] == 0) continue;
+    dense_link_[live] = dense_link_[k];
+    dense_residual_[live] = dense_residual_[k];
+    dense_count_[live] = dense_count_[k];
+    dense_share_[live] = dense_share_[k];
+    dense_band_[live] = dense_band_[k];
+    dense_of_[static_cast<std::size_t>(dense_link_[live])] =
+        static_cast<std::uint32_t>(live);
+    ++live;
+  }
+  dense_link_.resize(live);
+  dense_residual_.resize(live);
+  dense_count_.resize(live);
+  dense_share_.resize(live);
+  dense_band_.resize(live);
+  dead_links_ = 0;
 }
 
 void FlowNetwork::resolve() {
@@ -314,7 +424,7 @@ void FlowNetwork::resolve() {
   assert(live == active_count_ && "arrival list out of sync");
   if (affected_.empty()) return;
 
-  fill_rates(affected_, rates_scratch_);
+  fill_rates(affected_, full ? live_links_ : component_links_, rates_scratch_);
 
   // Commit, in arrival order: materialize progress under the *old*
   // rate up to now, install the new rate, and move the flow's
@@ -351,6 +461,10 @@ void FlowNetwork::resolve() {
     }
   }
 
+  if (fill_observer_) {
+    fill_observer_(affected_, full ? live_links_ : component_links_,
+                   rates_scratch_);
+  }
   if (crosscheck_ && !full) crosscheck_against_full();
 }
 
@@ -383,7 +497,7 @@ void FlowNetwork::crosscheck_against_full() {
     return slots_[a].seq < slots_[b].seq;
   });
   std::vector<double> full_rates;
-  fill_rates(all, full_rates);
+  fill_rates(all, live_links_, full_rates);
   for (std::size_t i = 0; i < all.size(); ++i) {
     const double got = slots_[all[i]].rate;
     const double want = full_rates[i];

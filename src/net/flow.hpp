@@ -20,6 +20,19 @@
 // which is what makes 512-rank random patterns and 100k-rank what-if
 // sessions affordable while preserving the phenomena the paper relies
 // on (shared torus links, NIC duplex limits, SMP bus saturation).
+//
+// A fill never walks paths to count flows per link (docs/SIMULATOR.md
+// "Inside one fill").  Its flow set is closed under link sharing --
+// every active flow, or one connected component -- so a link's count
+// is simply the size of its flow set; the links come from a maintained
+// list of non-empty links (full solves) or from the component walk
+// (incremental ones).  Each round takes the minimum over a dense
+// per-link share array, gathers the unfixed flows on the links inside
+// the 1e-12 tie band into a bitmap indexed by fill position, and walks
+// that bitmap in arrival order applying the same live bottleneck test
+// and the same residual updates as a scan of every unfixed flow would.
+// Rates are therefore bitwise those of plain progressive filling, at a
+// cost proportional to the flows actually frozen per round.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +89,10 @@ class FlowNetwork {
   [[nodiscard]] simt::Engine& engine() { return engine_; }
 
  private:
+  /// Reaches the fill and its inputs from tests (tests/net), which
+  /// compare it against a reference progressive fill.
+  friend class FlowNetworkTestPeer;
+
   /// Slot index into slots_; stable for the lifetime of one flow,
   /// recycled afterwards.
   using FlowSlot = std::uint32_t;
@@ -100,6 +117,9 @@ class FlowNetwork {
     std::uint32_t path_pos;  // index into that flow's path/link_slot
   };
 
+  /// Size the per-link tables when the first flow arrives, so that
+  /// constructing a network stays cheap.
+  void size_link_tables();
   void add_active(ActiveFlow flow);
   void on_flow_complete(FlowSlot slot);
   void remove_from_links(FlowSlot slot);
@@ -111,14 +131,26 @@ class FlowNetwork {
   /// in full mode -- and (re)schedule per-flow completion events.
   void resolve();
   /// Epoch-mark the connected component(s) of flows reachable from the
-  /// dirty seeds through shared links.  Returns the number of flows
-  /// marked; stops early (with the marks incomplete) once every active
-  /// flow is marked, since the caller then takes the full path anyway.
+  /// dirty seeds through shared links, listing the links visited in
+  /// component_links_.  Returns the number of flows marked; stops early
+  /// (with marks and list incomplete) once every active flow is marked,
+  /// since the caller then takes the full path anyway.
   std::size_t collect_affected();
-  /// Progressive filling over `flows`; rates[i] receives the max-min
-  /// rate of slots_[flows[i]].  Pure: commits nothing.
+  /// Progressive filling over `flows` (in arrival order); rates[i]
+  /// receives the max-min rate of slots_[flows[i]].  `links` must list
+  /// every link the flows cross, and every flow on a listed link must
+  /// be in `flows` (the set is closed under link sharing); listed links
+  /// without flows are skipped.  Pure: commits nothing.
   void fill_rates(const std::vector<FlowSlot>& flows,
+                  const std::vector<LinkId>& links,
                   std::vector<double>& rates);
+  /// Put the unfixed flows of dense link k whose fill position is at
+  /// least `from` into the candidate bitmap.
+  void gather_candidates(std::uint32_t k, std::uint32_t from);
+  /// Smallest share in the dense per-fill array.
+  [[nodiscard]] double min_dense_share() const;
+  /// Drop dead (flowless) links from the dense per-fill arrays.
+  void compact_dense_links();
   /// Recompute every active rate with the full fill and compare with
   /// the committed ones (set_crosscheck).
   void crosscheck_against_full();
@@ -148,8 +180,19 @@ class FlowNetwork {
   std::vector<ArrivalEntry> arrival_order_;
 
   /// link id -> flows currently crossing it (the incremental solver's
-  /// adjacency structure); lazily sized to the topology.
+  /// adjacency structure, and every fill's per-link flow count);
+  /// lazily sized to the topology.
   std::vector<std::vector<LinkEntry>> link_flows_;
+  /// link id -> bandwidth, copied out of the topology's link table.
+  std::vector<double> capacity_;
+  /// Links with a non-empty flow set, in no particular order (full
+  /// solves fill over these); live_pos_[l] is l's index in it, kept
+  /// exact under swap-removal.
+  std::vector<LinkId> live_links_;
+  std::vector<std::uint32_t> live_pos_;
+  /// Links the last collect_affected visited (incremental solves fill
+  /// over these; they may include links left empty by a departure).
+  std::vector<LinkId> component_links_;
 
   /// Seeds accumulated since the last resolve: flows that arrived, and
   /// the former links of flows that departed.
@@ -169,16 +212,38 @@ class FlowNetwork {
   std::vector<std::uint64_t> flow_epoch_;
   std::uint64_t epoch_ = 0;
 
-  // Scratch buffers reused across resolves; residual_/flows_on_link_
-  // are only valid at indices listed in touched_links_.
-  std::vector<double> residual_;
-  std::vector<int> flows_on_link_;
-  std::vector<LinkId> touched_links_;
+  // Scratch buffers reused across resolves.
   std::vector<FlowSlot> affected_;
-  std::vector<std::uint32_t> unfixed_;
-  std::vector<const std::vector<LinkId>*> paths_scratch_;
   std::vector<double> rates_scratch_;
   std::vector<FlowSlot> bfs_stack_;
+
+  // Per-fill state (fill_rates).  A fill position is a flow's index in
+  // the fill's flow list; fill_pos_ (by slot) and dense_of_ (by link
+  // id) are only meaningful for the flows and links of the current
+  // fill.  The dense arrays hold one entry per link of the fill: the
+  // live residual capacity, unfixed-flow count and fair share
+  // residual/count (+inf once the count reaches zero: a dead link,
+  // compacted away lazily).
+  std::vector<std::uint32_t> fill_pos_;
+  std::vector<std::uint32_t> dense_of_;
+  std::vector<const std::vector<LinkId>*> paths_scratch_;
+  std::vector<unsigned char> frozen_;
+  std::vector<std::uint64_t> candidates_;  // bitmap over fill positions
+  std::vector<LinkId> dense_link_;
+  std::vector<double> dense_residual_;
+  std::vector<int> dense_count_;
+  std::vector<double> dense_share_;
+  /// Round stamp of the last round a dense link was in the tie band.
+  std::vector<std::uint64_t> dense_band_;
+  std::uint64_t fill_round_ = 0;
+  std::size_t dead_links_ = 0;
+
+  /// Test seam, set only through FlowNetworkTestPeer: called at the end
+  /// of every resolve that ran a fill, with the fill's flows, links and
+  /// rates (the rates are committed by then).
+  std::function<void(const std::vector<FlowSlot>&, const std::vector<LinkId>&,
+                     const std::vector<double>&)>
+      fill_observer_;
 };
 
 }  // namespace balbench::net

@@ -3,12 +3,16 @@
 // kIncremental network (with the debug cross-check armed) must produce
 // identical completion times.  Bandwidths and byte counts are chosen as
 // exact binary values so fair shares tie exactly and the comparison can
-// demand bitwise-equal doubles.
+// demand bitwise-equal doubles.  Every fill of every run is also
+// checked against the reference progressive fill (bitwise) and the
+// committed allocation against the max-min certificate.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <vector>
 
+#include "flow_test_peer.hpp"
+#include "maxmin_certificate.hpp"
 #include "net/flow.hpp"
 #include "net/topology.hpp"
 #include "simt/engine.hpp"
@@ -32,7 +36,23 @@ struct RunStats {
   std::uint64_t resolves = 0;
   std::uint64_t incremental = 0;
   std::uint64_t full = 0;
+  std::uint64_t fills_checked = 0;
 };
+
+/// After every resolve of `net`: the fill equals the reference fill bit
+/// for bit, its flow set is closed under link sharing, and the whole
+/// committed allocation passes the max-min certificate.
+void check_every_fill(bn::FlowNetwork& net, const bn::Topology& topo,
+                      std::uint64_t& fills) {
+  bn::FlowNetworkTestPeer::on_fill(net, [&net, &topo, &fills](
+                                            const bn::FillRecord& rec) {
+    ++fills;
+    EXPECT_EQ(bn::fill_mismatch(topo.links(), rec), "") << "fill " << fills;
+    const bn::ActiveState st = bn::FlowNetworkTestPeer::active(net);
+    EXPECT_EQ(bn::maxmin_violation(topo.links(), st.paths, st.rates), "")
+        << "after fill " << fills;
+  });
+}
 
 /// Drive `flows` through a fresh FlowNetwork on `topo` and collect each
 /// flow's completion time (indexed like `flows`).
@@ -44,6 +64,7 @@ RunStats run_workload(const bn::Topology& topo,
   net.set_solver_mode(mode);
   net.set_crosscheck(crosscheck);
   RunStats out;
+  check_every_fill(net, topo, out.fills_checked);
   out.done.assign(flows.size(), -1.0);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const TimedFlow& f = flows[i];
@@ -57,6 +78,7 @@ RunStats run_workload(const bn::Topology& topo,
   out.resolves = net.resolves();
   out.incremental = net.incremental_resolves();
   out.full = net.full_resolves();
+  EXPECT_GT(out.fills_checked, 0u);
   return out;
 }
 
@@ -118,7 +140,12 @@ TEST(FlowIncremental, DisjointPairsTakeTheIncrementalPath) {
   }
   const RunStats inc = run_workload(
       *topo, flows, bn::FlowNetwork::SolverMode::kIncremental, true);
-  EXPECT_GT(inc.incremental, 0u);
+  // Exactly: the first arrival is a full solve (its component is the
+  // whole network); the three later arrivals and the three departures
+  // that leave flows behind each touch one component only.
+  EXPECT_EQ(inc.resolves, 7u);
+  EXPECT_EQ(inc.full, 1u);
+  EXPECT_EQ(inc.incremental, 6u);
   for (double d : inc.done) EXPECT_GT(d, 0.0);
 }
 

@@ -1,10 +1,13 @@
 // Property-based tests of the max-min flow solver: conservation and
-// fairness invariants over randomized workloads.
+// fairness invariants over randomized workloads, and the max-min
+// certificate after every resolve.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "flow_test_peer.hpp"
+#include "maxmin_certificate.hpp"
 #include "net/flow.hpp"
 #include "net/topology.hpp"
 #include "simt/engine.hpp"
@@ -45,6 +48,13 @@ TEST_P(FlowProperties, RandomWorkloadCompletesAndRespectsCapacity) {
 
   bs::Engine eng;
   bn::FlowNetwork net(*topo, eng);
+  int fills = 0;
+  bn::FlowNetworkTestPeer::on_fill(net, [&](const bn::FillRecord&) {
+    ++fills;
+    const bn::ActiveState st = bn::FlowNetworkTestPeer::active(net);
+    EXPECT_EQ(bn::maxmin_violation(topo->links(), st.paths, st.rates), "")
+        << "after fill " << fills;
+  });
 
   std::vector<FlowRecord> flows;
   const int nflows = 20 + static_cast<int>(rng.below(40));
@@ -82,6 +92,7 @@ TEST_P(FlowProperties, RandomWorkloadCompletesAndRespectsCapacity) {
   // than the total bytes over the sum of all NIC egress capacity.
   EXPECT_GE(max_done, total_bytes / (p.nic_bw * n) * 0.99);
   EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_GT(fills, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowProperties, ::testing::Range(1, 13));
